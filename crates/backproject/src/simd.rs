@@ -205,8 +205,8 @@ fn check_args(held_np: usize, mats: &[ProjectionMatrix]) {
 }
 
 /// The shared driver: clamps the tile, distributes `zslab`-deep chunks of
-/// slices over the rayon pool and runs the chosen backend on each. Returns
-/// the guard-passing update count.
+/// slices over the `par_chunks_mut` worker threads and runs the chosen
+/// backend on each. Returns the guard-passing update count.
 fn simd_core(
     rows: &[[[f32; 4]; 3]],
     vol: &mut Volume,

@@ -382,9 +382,10 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
     let device = parse_device(&args.opt("device").unwrap_or_else(|| "v100".into()))?;
     let kernel: KernelChoice = args
         .opt("kernel")
-        .unwrap_or_else(|| "parallel".into())
-        .parse()
-        .map_err(CliError::Message)?;
+        .map(|k| k.parse())
+        .transpose()
+        .map_err(CliError::Message)?
+        .unwrap_or_default();
     let filter_mode: FilterChoice = args
         .opt("filter-mode")
         .unwrap_or_else(|| "two-pass".into())
@@ -417,11 +418,11 @@ pub fn reconstruct(args: &mut Args) -> Result<String, CliError> {
             .split_once(':')
             .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
             .ok_or_else(|| CliError::Message(format!("bad --slab `{slab}` (want Z0:Z1)")))?;
-        let v = fdk_reconstruct_slab(&geom, &projections, z0, z1, window)
+        let v = fdk_reconstruct_slab(&geom, &projections, z0, z1, window, kernel)
             .map_err(|e| CliError::Message(e.to_string()))?;
         (
             v,
-            format!("ROI slab [{z0}, {z1})"),
+            format!("ROI slab [{z0}, {z1}), {kernel} kernel"),
             chrome_trace_json(&[]),
             MetricsRegistry::new().snapshot(),
         )

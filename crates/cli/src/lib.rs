@@ -66,9 +66,10 @@ COMMANDS:
               [--mode incore|outofcore|pipeline|distributed]
               [--kernel reference|parallel|incremental|blocked|simd|simd-batched]
               [--filter-mode two-pass|fused]
-                  pick the back-projection kernel and filtering strategy
-                  (see docs/performance.md; defaults reproduce the
-                  bit-exact reference behaviour)
+                  pick the back-projection kernel (default simd) and
+                  filtering strategy (default two-pass); the defaults
+                  are bit-exact against the reference kernel (see
+                  docs/performance.md)
               [--backend sim|cpu]
                   compute backend behind the executor seam: `sim` charges
                   the gpusim cost model, `cpu` runs natively with zero
@@ -180,6 +181,12 @@ mod tests {
         let out = run(["help".to_string()]).unwrap();
         assert!(out.contains("reconstruct"));
         assert!(out.contains("simulate"));
+    }
+
+    #[test]
+    fn usage_names_the_default_kernel() {
+        let default = format!("kernel (default {})", scalefbp::KernelChoice::default());
+        assert!(USAGE.contains(&default), "`{default}` missing from usage");
     }
 
     #[test]

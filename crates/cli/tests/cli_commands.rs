@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 
 use scalefbp_cli::{run, CliError};
+use scalefbp_iosim::format::decode_volume;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("scalefbp-cli-{tag}-{}", std::process::id()));
@@ -269,6 +270,51 @@ fn slab_roi_reconstruction() {
     assert!(out.contains("ROI slab [4, 10)"), "{out}");
     let info = call(&["info", "--file", vol.to_str().unwrap()]).unwrap();
     assert!(info.contains("z_offset=4"), "{info}");
+}
+
+#[test]
+fn slab_honours_kernel_and_matches_incore_slices_bitwise() {
+    let dir = tmpdir("slab-kernels");
+    let scan = dir.join("scan.sfbp");
+    call(&["simulate", "--ideal", "16", "--out", scan.to_str().unwrap()]).unwrap();
+    let (z0, z1) = (3, 9);
+    for kernel in ["reference", "parallel", "blocked", "simd"] {
+        let full = dir.join(format!("full-{kernel}.sfbp"));
+        let roi = dir.join(format!("roi-{kernel}.sfbp"));
+        call(&[
+            "reconstruct",
+            "--scan",
+            scan.to_str().unwrap(),
+            "--out",
+            full.to_str().unwrap(),
+            "--kernel",
+            kernel,
+        ])
+        .unwrap();
+        let out = call(&[
+            "reconstruct",
+            "--scan",
+            scan.to_str().unwrap(),
+            "--out",
+            roi.to_str().unwrap(),
+            "--kernel",
+            kernel,
+            "--slab",
+            &format!("{z0}:{z1}"),
+        ])
+        .unwrap();
+        assert!(out.contains(&format!("{kernel} kernel")), "{out}");
+        let full = decode_volume(&std::fs::read(&full).unwrap()).unwrap();
+        let roi = decode_volume(&std::fs::read(&roi).unwrap()).unwrap();
+        assert_eq!(roi.z_offset(), z0);
+        for k in z0..z1 {
+            let (a, b) = (roi.slice(k - z0), full.slice(k));
+            assert!(
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{kernel}: slice {k} differs from the in-core volume"
+            );
+        }
+    }
 }
 
 #[test]

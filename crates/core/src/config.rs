@@ -133,7 +133,7 @@ pub struct FdkConfig {
 
 impl FdkConfig {
     /// A config with the paper's defaults (`N_c = 8`, Ram-Lak window,
-    /// V100-16GB device, parallel kernel, two-pass filter).
+    /// V100-16GB device, simd kernel, two-pass filter).
     pub fn new(geometry: CbctGeometry) -> Self {
         FdkConfig {
             geometry,
@@ -247,7 +247,7 @@ mod tests {
         assert_eq!(c.nc, 8);
         assert_eq!(c.window, FilterWindow::RamLak);
         assert_eq!(c.device.name, "V100-16GB");
-        assert_eq!(c.kernel, KernelChoice::Parallel);
+        assert_eq!(c.kernel, KernelChoice::Simd);
         assert_eq!(c.filter, FilterChoice::TwoPass);
         assert_eq!(c.reduce_mode, ReduceMode::Hierarchical);
         assert_eq!(c.timeout_scale, 2.0);

@@ -2,16 +2,17 @@
 
 use std::sync::Arc;
 
-use scalefbp_backproject::backproject_parallel;
+use scalefbp_exec::host::run_backprojection;
 use scalefbp_faults::NoFaults;
 use scalefbp_filter::{FilterPipeline, FilterWindow};
 use scalefbp_geom::{compute_ab, CbctGeometry, ProjectionMatrix, ProjectionStack, Volume};
 use scalefbp_obs::MetricsRegistry;
 
-use crate::{FdkConfig, ReconstructionError};
+use crate::{FdkConfig, KernelChoice, ReconstructionError};
 
 /// Reconstructs the full volume in memory with the Ram-Lak window:
-/// filtering (Eq 2) → back-projection (Algorithm 1) → FDK normalisation.
+/// filtering (Eq 2) → back-projection (Algorithm 1, default
+/// [`KernelChoice`]) → FDK normalisation.
 ///
 /// `projections` must be a full log-domain stack (`N_v × N_p × N_u`, the
 /// output of Equation 1 pre-processing). This is the "simple path" against
@@ -48,7 +49,7 @@ pub fn fdk_reconstruct_with(
 
     let mats = ProjectionMatrix::full_scan(geom);
     let mut vol = Volume::zeros(geom.nx, geom.ny, geom.nz);
-    backproject_parallel(&filtered, &mats, &mut vol);
+    run_backprojection(KernelChoice::default(), &filtered, &mats, &mut vol);
 
     let scale = pipeline.backprojection_scale() as f32;
     for v in vol.data_mut() {
@@ -103,7 +104,7 @@ pub fn fdk_reconstruct_configured(
 /// z_end)` of the volume, from only the detector rows those slices need
 /// (`ComputeAB`). The returned slab's `z_offset` is `z_begin`; its voxels
 /// are bit-identical to the corresponding slices of the full
-/// reconstruction.
+/// reconstruction with the same bit-exact `kernel`.
 ///
 /// This is the user-facing face of the paper's decomposition: a clinician
 /// re-reconstructing ten slices around a feature pays for ten slices, not
@@ -114,6 +115,7 @@ pub fn fdk_reconstruct_slab(
     z_begin: usize,
     z_end: usize,
     window: FilterWindow,
+    kernel: KernelChoice,
 ) -> Result<Volume, ReconstructionError> {
     geom.validate()?;
     if projections.nv() != geom.nv || projections.np() != geom.np || projections.nu() != geom.nu {
@@ -141,7 +143,7 @@ pub fn fdk_reconstruct_slab(
 
     let mats = ProjectionMatrix::full_scan(geom);
     let mut slab = Volume::zeros_slab(geom.nx, geom.ny, z_end - z_begin, z_begin);
-    backproject_parallel(&part, &mats, &mut slab);
+    run_backprojection(kernel, &part, &mats, &mut slab);
 
     let scale = pipeline.backprojection_scale() as f32;
     for v in slab.data_mut() {
@@ -290,7 +292,15 @@ mod tests {
         let p = forward_project(&g, &ball);
         let full = fdk_reconstruct(&g, &p).unwrap();
         for (z0, z1) in [(0, 6), (20, 28), (g.nz - 5, g.nz)] {
-            let slab = fdk_reconstruct_slab(&g, &p, z0, z1, FilterWindow::RamLak).unwrap();
+            let slab = fdk_reconstruct_slab(
+                &g,
+                &p,
+                z0,
+                z1,
+                FilterWindow::RamLak,
+                KernelChoice::default(),
+            )
+            .unwrap();
             assert_eq!(slab.z_offset(), z0);
             for k in 0..(z1 - z0) {
                 assert_eq!(slab.slice(k), full.slice(z0 + k), "slice {}", z0 + k);
@@ -303,11 +313,18 @@ mod tests {
         let g = geom();
         let p = ProjectionStack::zeros(g.nv, g.np, g.nu);
         assert!(matches!(
-            fdk_reconstruct_slab(&g, &p, 5, 5, FilterWindow::RamLak),
+            fdk_reconstruct_slab(&g, &p, 5, 5, FilterWindow::RamLak, KernelChoice::default()),
             Err(ReconstructionError::ShapeMismatch(_))
         ));
         assert!(matches!(
-            fdk_reconstruct_slab(&g, &p, 0, g.nz + 1, FilterWindow::RamLak),
+            fdk_reconstruct_slab(
+                &g,
+                &p,
+                0,
+                g.nz + 1,
+                FilterWindow::RamLak,
+                KernelChoice::default()
+            ),
             Err(ReconstructionError::ShapeMismatch(_))
         ));
     }

@@ -5,7 +5,8 @@
 //! moved here so the executors can dispatch on them without a circular
 //! dependency, and `scalefbp` re-exports them unchanged.
 
-/// Which back-projection kernel the drivers run.
+/// Which back-projection kernel the drivers run. The default is
+/// [`Simd`](KernelChoice::Simd), the fastest bit-exact kernel.
 ///
 /// All variants produce bit-identical volumes for the in-core and streaming
 /// paths except [`Incremental`](KernelChoice::Incremental) and
@@ -18,7 +19,6 @@ pub enum KernelChoice {
     /// truth for equivalence testing.
     Reference,
     /// Register-accumulating slice-parallel kernel (Section 4.3.1).
-    #[default]
     Parallel,
     /// The affine-increment kernel — fastest per-update arithmetic, *not*
     /// bit-identical. Streaming drivers fall back to the windowed kernel.
@@ -28,7 +28,8 @@ pub enum KernelChoice {
     Blocked,
     /// Explicit f32x8 SIMD over the blocked tiles (AVX2 with runtime
     /// detection, portable scalar twin otherwise). Bit-identical to
-    /// `Parallel` on either backend.
+    /// `Parallel` on either backend. The default.
+    #[default]
     Simd,
     /// The SIMD kernel with projection batching: `P` projections
     /// accumulate in a register partial per voxel pass. Fastest; drift vs
